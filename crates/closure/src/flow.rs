@@ -5,12 +5,9 @@ use tc_core::units::Ps;
 use tc_interconnect::BeolStack;
 use tc_liberty::Library;
 use tc_netlist::Netlist;
-use tc_sta::{Constraints, Sta, Timer, TimingReport};
+use tc_sta::{Constraints, Timer, TimingReport};
 
-use crate::fixes::{
-    apply_buffering, buffering_pass, ndr_pass, plan_buffering, plan_ndr, plan_sizing,
-    plan_vt_swaps, sizing_pass, vt_swap_pass, FixKind, FixOutcome,
-};
+use crate::fixes::{apply_path_fix, FixKind, FixOutcome};
 
 /// Loop configuration.
 #[derive(Clone, Debug)]
@@ -28,18 +25,6 @@ pub struct ClosureConfig {
     pub skew_step: Ps,
     /// Days charged per iteration in the schedule model.
     pub days_per_iteration: f64,
-    /// Drive the loop from the persistent incremental [`Timer`] (the
-    /// default): fixes are evaluated by re-timing only their dirty cones
-    /// and rejected fixes roll back in O(cone). `false` falls back to
-    /// one full STA run per speculative fix — same results (the two
-    /// engines are bit-identical), much more work.
-    pub use_incremental: bool,
-    /// Run full-STA passes with level-synchronous parallel propagation
-    /// on a `TC_PAR_THREADS`-sized pool. Results are bit-identical to
-    /// the sequential path (see `tc_par`); only the full-propagation
-    /// flow uses it — the incremental timer's dirty-cone worklist is
-    /// inherently ordered and stays sequential.
-    pub parallel_sta: bool,
     /// Run the `tc-lint` static passes before the first STA iteration
     /// (the default). Error-severity findings abort the run with
     /// [`tc_core::error::Error::InvalidInput`] — a design with
@@ -58,8 +43,6 @@ impl Default for ClosureConfig {
             ordering: FixKind::RECOMMENDED.to_vec(),
             skew_step: Ps::new(10.0),
             days_per_iteration: 3.0,
-            use_incremental: true,
-            parallel_sta: false,
             preflight_lint: true,
         }
     }
@@ -135,19 +118,6 @@ impl<'a> ClosureFlow<'a> {
         ClosureFlow { lib, stack, config }
     }
 
-    /// A full-propagation STA engine honoring [`ClosureConfig::parallel_sta`].
-    fn sta<'n>(&self, nl: &'n Netlist, cons: &'n Constraints) -> Sta<'n>
-    where
-        'a: 'n,
-    {
-        let sta = Sta::new(nl, self.lib, self.stack, cons);
-        if self.config.parallel_sta {
-            sta.with_parallel(tc_par::Pool::from_env())
-        } else {
-            sta
-        }
-    }
-
     /// Runs the loop, editing `nl` (and the clock tree inside the
     /// returned constraints) in place.
     ///
@@ -162,11 +132,7 @@ impl<'a> ClosureFlow<'a> {
         } else {
             Vec::new()
         };
-        let mut out = if self.config.use_incremental {
-            self.run_incremental(nl, cons)
-        } else {
-            self.run_full(nl, cons)
-        }?;
+        let mut out = self.run_incremental(nl, cons)?;
         out.lint_findings = lint_findings;
         Ok(out)
     }
@@ -196,7 +162,7 @@ impl<'a> ClosureFlow<'a> {
     /// iterations; each speculative fix is applied through the journaled
     /// ECO mutators, re-timed over its dirty cone, and — if it regressed
     /// WNS — rolled back on both the netlist and the timer in O(cone).
-    fn run_incremental(&mut self, nl: &mut Netlist, cons: Constraints) -> Result<ClosureOutcome> {
+    fn run_incremental(&self, nl: &mut Netlist, cons: Constraints) -> Result<ClosureOutcome> {
         let _run_span = tc_obs::span("closure.run");
         let edits_counter = tc_obs::counter("closure.edits");
         let mut timer = {
@@ -215,7 +181,7 @@ impl<'a> ClosureFlow<'a> {
             let wns_before = before.wns();
             let mut fixes = Vec::new();
             let mut wns_running = wns_before;
-            for &kind in &self.config.ordering.clone() {
+            for &kind in &self.config.ordering {
                 // Incremental-timing discipline: checkpoint, apply the
                 // pass, re-time the dirty cone, keep it only if WNS did
                 // not regress (the ping-pong guard of §2.3).
@@ -223,7 +189,7 @@ impl<'a> ClosureFlow<'a> {
                 let t_cp = timer.checkpoint();
                 let outcome = {
                     let _fix = tc_obs::span(&format!("closure.fix.{}", kind.label()));
-                    self.apply_fix_incremental(kind, nl, &mut timer)?
+                    self.apply_fix(kind, nl, &mut timer)?
                 };
                 if outcome.edits == 0 {
                     fixes.push((kind, 0));
@@ -287,44 +253,17 @@ impl<'a> ClosureFlow<'a> {
 
     /// Plans a fix from the timer's cached worst paths and applies it
     /// through the journaled ECO mutators — no full STA run anywhere.
-    fn apply_fix_incremental(
+    fn apply_fix(
         &self,
         kind: FixKind,
         nl: &mut Netlist,
         timer: &mut Timer<'_>,
     ) -> Result<FixOutcome> {
-        let (k, b) = (self.config.k_paths, self.config.budget_per_pass);
-        match kind {
-            FixKind::VtSwap => {
-                let paths = timer.worst_paths(nl, k)?;
-                let plan = plan_vt_swaps(nl, self.lib, &paths, b, |_| true);
-                for &(cell, master) in &plan {
-                    nl.swap_master(self.lib, cell, master)?;
-                }
-                Ok(FixOutcome { edits: plan.len() })
-            }
-            FixKind::Sizing => {
-                let paths = timer.worst_paths(nl, k)?;
-                let plan = plan_sizing(nl, self.lib, &paths, b);
-                for &(cell, master) in &plan {
-                    nl.swap_master(self.lib, cell, master)?;
-                }
-                Ok(FixOutcome { edits: plan.len() })
-            }
-            FixKind::Buffering => {
-                let paths = timer.worst_paths(nl, k)?;
-                let plan = plan_buffering(nl, &paths, b / 6);
-                apply_buffering(nl, self.lib, &plan).map(|edits| FixOutcome { edits })
-            }
-            FixKind::Ndr => {
-                let paths = timer.worst_paths(nl, k)?;
-                let plan = plan_ndr(nl, &paths, b / 3);
-                let edits = plan.len();
-                for net in plan {
-                    nl.set_route_class(net, 2);
-                }
-                Ok(FixOutcome { edits })
-            }
+        let b = self.config.budget_per_pass;
+        let budget = match kind {
+            FixKind::VtSwap | FixKind::Sizing => b,
+            FixKind::Buffering => b / 6,
+            FixKind::Ndr => b / 3,
             FixKind::UsefulSkew => {
                 let res = tc_clock::optimize_useful_skew(
                     nl,
@@ -340,105 +279,11 @@ impl<'a> ClosureFlow<'a> {
                     // re-propagates fully, but stays checkpointable.
                     timer.set_constraints(nl, res.constraints)?;
                 }
-                Ok(FixOutcome { edits })
+                return Ok(FixOutcome { edits });
             }
-        }
-    }
-
-    /// The legacy loop: a from-scratch STA run per speculative fix and a
-    /// whole-netlist clone per rollback point.
-    fn run_full(&mut self, nl: &mut Netlist, cons: Constraints) -> Result<ClosureOutcome> {
-        let _run_span = tc_obs::span("closure.run");
-        let edits_counter = tc_obs::counter("closure.edits");
-        let mut cons = cons;
-        let mut iterations = Vec::new();
-        for it in 1..=self.config.max_iterations {
-            let iter_start = std::time::Instant::now();
-            let counters_before = tc_obs::is_enabled().then(tc_obs::snapshot);
-            let iter_span = tc_obs::span("closure.iteration");
-            let before = {
-                let _sta = tc_obs::span("closure.sta");
-                self.sta(nl, &cons).run()?
-            };
-            if before.is_clean() {
-                break;
-            }
-            let wns_before = before.wns();
-            let mut fixes = Vec::new();
-            let mut wns_running = wns_before;
-            for &kind in &self.config.ordering.clone() {
-                // Incremental-timing discipline: apply the pass, verify
-                // it helped, roll back otherwise (a fix that regresses
-                // timing is the ping-pong effect of §2.3).
-                let snapshot_nl = nl.clone();
-                let snapshot_cons = cons.clone();
-                let outcome = {
-                    let _fix = tc_obs::span(&format!("closure.fix.{}", kind.label()));
-                    self.apply_fix(kind, nl, &mut cons)?
-                };
-                if outcome.edits == 0 {
-                    fixes.push((kind, 0));
-                    continue;
-                }
-                let check = {
-                    let _sta = tc_obs::span("closure.sta");
-                    self.sta(nl, &cons).run()?
-                };
-                if check.wns() >= wns_running {
-                    wns_running = check.wns();
-                    edits_counter.add(outcome.edits as u64);
-                    fixes.push((kind, outcome.edits));
-                } else {
-                    *nl = snapshot_nl;
-                    cons = snapshot_cons;
-                    fixes.push((kind, 0));
-                }
-            }
-            let after = {
-                let _sta = tc_obs::span("closure.sta");
-                self.sta(nl, &cons).run()?
-            };
-            drop(iter_span);
-            let (counter_deltas, span_ns_deltas) =
-                counters_before.map_or_else(Default::default, |before| {
-                    let now = tc_obs::snapshot();
-                    (now.counter_deltas(&before), now.span_ns_deltas(&before))
-                });
-            iterations.push(IterationRecord {
-                iteration: it,
-                wns_before,
-                wns_after: after.wns(),
-                tns_after: after.tns(),
-                violations_after: after.setup_violations(),
-                fixes,
-                elapsed_ms: iter_start.elapsed().as_secs_f64() * 1e3,
-                counter_deltas,
-                span_ns_deltas,
-            });
-            // Ping-pong guard: a fully unproductive iteration means the
-            // remaining violations need different medicine — stop rather
-            // than thrash (§2.3's "without ping-pong effects").
-            if after.wns() <= wns_before + Ps::new(1e-9)
-                && iterations.len() >= 2
-                && fixes_were_empty(&iterations[iterations.len() - 1])
-            {
-                break;
-            }
-        }
-        let final_report = {
-            let _sta = tc_obs::span("closure.sta");
-            self.sta(nl, &cons).run()?
         };
-        let closed = final_report.is_clean();
-        let days = iterations.len() as f64 * self.config.days_per_iteration;
-        Ok(ClosureOutcome {
-            iterations,
-            final_report,
-            constraints: cons,
-            closed,
-            days,
-            lint_findings: Vec::new(),
-        })
+        let paths = timer.worst_paths(nl, self.config.k_paths)?;
+        apply_path_fix(nl, self.lib, kind, &paths, budget, |_| true)
     }
 
     /// Packages a finished run as a schema-versioned [`tc_obs::RunArtifact`]:
@@ -452,8 +297,6 @@ impl<'a> ClosureFlow<'a> {
         use tc_obs::JsonValue;
         let wall_ms: f64 = out.iterations.iter().map(|r| r.elapsed_ms).sum();
         let mut artifact = tc_obs::RunArtifact::new(workload)
-            .knob("use_incremental", self.config.use_incremental)
-            .knob("parallel_sta", self.config.parallel_sta)
             .knob("max_iterations", self.config.max_iterations)
             .knob("k_paths", self.config.k_paths)
             .knob("budget_per_pass", self.config.budget_per_pass)
@@ -521,34 +364,6 @@ impl<'a> ClosureFlow<'a> {
         // from uninstrumented runs stay byte-stable.
         artifact.capture_memory()
     }
-
-    fn apply_fix(
-        &self,
-        kind: FixKind,
-        nl: &mut Netlist,
-        cons: &mut Constraints,
-    ) -> Result<FixOutcome> {
-        let (k, b) = (self.config.k_paths, self.config.budget_per_pass);
-        match kind {
-            FixKind::VtSwap => vt_swap_pass(nl, self.lib, self.stack, cons, k, b, |_| true),
-            FixKind::Sizing => sizing_pass(nl, self.lib, self.stack, cons, k, b),
-            FixKind::Buffering => buffering_pass(nl, self.lib, self.stack, cons, k, b / 6),
-            FixKind::Ndr => ndr_pass(nl, self.lib, self.stack, cons, k, b / 3),
-            FixKind::UsefulSkew => {
-                let res = tc_clock::optimize_useful_skew(
-                    nl,
-                    self.lib,
-                    self.stack,
-                    cons,
-                    b / 10,
-                    self.config.skew_step,
-                )?;
-                let edits = res.moves.len();
-                *cons = res.constraints;
-                Ok(FixOutcome { edits })
-            }
-        }
-    }
 }
 
 fn fixes_were_empty(rec: &IterationRecord) -> bool {
@@ -585,6 +400,7 @@ mod tests {
     use super::*;
     use tc_liberty::{LibConfig, PvtCorner};
     use tc_netlist::gen::{generate, BenchProfile};
+    use tc_sta::Sta;
 
     fn env(margin: f64) -> (Library, BeolStack, Netlist, Constraints) {
         let lib = Library::generate(&LibConfig::default(), &PvtCorner::typical());
@@ -641,35 +457,56 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_full_flows_agree() {
-        // The two engines share evaluation code paths, so the whole loop
-        // — plans, accept/reject decisions, final WNS — must agree.
-        let (lib, stack, nl, cons) = env(-40.0);
-        let run = |use_incremental: bool| {
+    fn every_iteration_boundary_matches_full_sta() {
+        // Stopping the loop after n iterations must leave the timer's
+        // final report bit-identical to a from-scratch STA of the edited
+        // netlist, and the first n iterations must not depend on how
+        // many more follow. Without useful skew and on a small budget
+        // this design needs every iteration and rejects fixes on the
+        // way, so accepted and rolled-back edits are both covered.
+        let (lib, stack, nl, cons) = env(-600.0);
+        let base = ClosureConfig {
+            ordering: FixKind::RECOMMENDED[..4].to_vec(),
+            budget_per_pass: 3,
+            k_paths: 4,
+            ..Default::default()
+        };
+        let mut prev = Vec::new();
+        for n in 1..=base.max_iterations {
             let mut nl2 = nl.clone();
             let cfg = ClosureConfig {
-                max_iterations: 2,
-                use_incremental,
-                ..Default::default()
+                max_iterations: n,
+                ..base.clone()
             };
-            let mut flow = ClosureFlow::new(&lib, &stack, cfg);
-            flow.run(&mut nl2, cons.clone()).unwrap()
-        };
-        let inc = run(true);
-        let full = run(false);
-        assert_eq!(inc.final_report.wns(), full.final_report.wns());
-        assert_eq!(inc.final_report.tns(), full.final_report.tns());
-        assert_eq!(inc.closed, full.closed);
-        for (a, b) in inc.iterations.iter().zip(&full.iterations) {
-            assert_eq!(a.fixes, b.fixes, "iteration {} fix records", a.iteration);
-            assert_eq!(a.wns_after, b.wns_after);
+            let out = ClosureFlow::new(&lib, &stack, cfg)
+                .run(&mut nl2, cons.clone())
+                .unwrap();
+            let fresh = Sta::new(&nl2, &lib, &stack, &out.constraints)
+                .run()
+                .unwrap();
+            assert_eq!(
+                out.final_report.endpoints, fresh.endpoints,
+                "after {n} iteration(s): timer diverged from full STA"
+            );
+            let records: Vec<_> = out
+                .iterations
+                .iter()
+                .map(|r| (r.fixes.clone(), r.wns_after))
+                .collect();
+            assert_eq!(
+                records[..prev.len()],
+                prev[..],
+                "run with {n} iteration(s) rewrote an earlier iteration"
+            );
+            prev = records;
         }
+        assert!(prev.len() > 1, "the oracle needs a multi-iteration run");
     }
 
     #[test]
     fn rejected_fixes_roll_back_netlist_and_timer_exactly() {
         use tc_sta::Timer;
-        // Evaluate-and-reject every fix kind against a *clean* design:
+        // Evaluate-and-reject every fix kind against a violating design:
         // each pass plans nothing or the rejection path must restore the
         // exact pre-fix netlist + timer state (journal length, WNS/TNS).
         let (lib, stack, mut nl, cons) = env(-40.0);
@@ -684,9 +521,7 @@ mod tests {
             let report_before = timer.report(&nl);
             let states_before = timer.states().to_vec();
 
-            let out = flow
-                .apply_fix_incremental(kind, &mut nl, &mut timer)
-                .unwrap();
+            let out = flow.apply_fix(kind, &mut nl, &mut timer).unwrap();
             timer.update(&nl).unwrap();
             // Unconditionally reject, regardless of what the fix did.
             nl.undo_to(nl_cp).unwrap();
@@ -781,12 +616,7 @@ mod tests {
         let Some(tc_obs::JsonValue::Obj(knobs)) = get("knobs") else {
             panic!("artifact has no knobs object");
         };
-        for knob in [
-            "use_incremental",
-            "parallel_sta",
-            "max_iterations",
-            "TC_PAR_THREADS",
-        ] {
+        for knob in ["max_iterations", "k_paths", "TC_PAR_THREADS"] {
             assert!(knobs.iter().any(|(k, _)| k == knob), "missing knob {knob}");
         }
         let Some(tc_obs::JsonValue::Arr(iters)) = get("iterations") else {

@@ -11,7 +11,9 @@
 //!
 //! * [`fixes`] — the five fix transforms, each operating on the netlist
 //!   ECO surface (`swap_master`, `insert_buffer`, `set_route_class`) or
-//!   the clock tree, guided by the worst paths from `tc-sta`'s PBA.
+//!   the clock tree. The four path-driven fixes are planned from the
+//!   worst paths the loop's persistent [`tc_sta::Timer`] already holds,
+//!   not from a fresh STA run per pass.
 //! * [`flow`] — the iteration driver with per-iteration fix budgets,
 //!   convergence records, ping-pong detection, and configurable fix
 //!   ordering (for the ablation comparing the paper's recommended order

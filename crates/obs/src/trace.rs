@@ -397,6 +397,129 @@ impl TraceSnapshot {
         .render()
     }
 
+    /// Parses a Chrome `trace_event` JSON document back into a snapshot
+    /// — the inverse of [`TraceSnapshot::to_chrome_trace`] and the one
+    /// reader of that format in the workspace. `M`/`thread_name`
+    /// metadata repopulates `thread_names`, `otherData.dropped_events`
+    /// repopulates `dropped`, and `C` events recover their per-event
+    /// `delta` from `args` (a bare `value` reads as a
+    /// [`TraceEventKind::Gauge`] sample; a `C` without `args` as a zero
+    /// counter delta).
+    ///
+    /// # Errors
+    ///
+    /// Positioned `trace event N: …` messages for malformed events,
+    /// including a timestamp that regresses within one thread (the
+    /// writer emits each thread's events in time order); document-level
+    /// messages for a missing envelope.
+    pub fn from_chrome_trace(text: &str) -> Result<TraceSnapshot, String> {
+        let doc = JsonValue::parse(text).map_err(|e| format!("trace parse error: {e}"))?;
+        let JsonValue::Obj(top) = doc else {
+            return Err("trace document is not an object".to_string());
+        };
+        let get = |pairs: &[(String, JsonValue)], key: &str| -> Option<JsonValue> {
+            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        };
+        let Some(JsonValue::Arr(raw_events)) = get(&top, "traceEvents") else {
+            return Err("trace document has no traceEvents array".to_string());
+        };
+        let mut dropped = 0u64;
+        if let Some(JsonValue::Obj(other)) = get(&top, "otherData") {
+            if let Some(JsonValue::Num(d)) = get(&other, "dropped_events") {
+                if d.is_finite() && d >= 0.0 {
+                    dropped = d as u64;
+                }
+            }
+        }
+        let mut events: Vec<TraceEvent> = Vec::new();
+        let mut thread_names: Vec<(u64, String)> = Vec::new();
+        let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
+        for (i, ev) in raw_events.iter().enumerate() {
+            let JsonValue::Obj(fields) = ev else {
+                return Err(format!("trace event {i}: not an object"));
+            };
+            let Some(JsonValue::Str(ph)) = get(fields, "ph") else {
+                return Err(format!("trace event {i}: missing ph"));
+            };
+            let Some(JsonValue::Str(name)) = get(fields, "name") else {
+                return Err(format!("trace event {i}: missing name"));
+            };
+            let tid = match get(fields, "tid") {
+                Some(JsonValue::Num(t)) if t.is_finite() && t >= 0.0 => t as u64,
+                _ => return Err(format!("trace event {i}: missing or negative tid")),
+            };
+            if ph == "M" {
+                if name == "thread_name" {
+                    if let Some(JsonValue::Obj(args)) = get(fields, "args") {
+                        if let Some(JsonValue::Str(tname)) = get(&args, "name") {
+                            thread_names.push((tid, tname));
+                        }
+                    }
+                }
+                continue;
+            }
+            let ts_us = match get(fields, "ts") {
+                Some(JsonValue::Num(t)) if t.is_finite() && t >= 0.0 => t,
+                _ => return Err(format!("trace event {i}: missing or negative ts")),
+            };
+            let ts_ns = (ts_us * 1e3).round() as u64;
+            if let Some(&prev) = last_ts.get(&tid) {
+                if ts_ns < prev {
+                    return Err(format!(
+                        "trace event {i}: timestamp {ts_us} us regresses below {} us on tid {tid}",
+                        prev as f64 / 1e3
+                    ));
+                }
+            }
+            last_ts.insert(tid, ts_ns);
+            let (kind, delta) = match ph.as_str() {
+                "B" => (TraceEventKind::Begin, 0),
+                "E" => (TraceEventKind::End, 0),
+                "C" => {
+                    let args = match get(fields, "args") {
+                        Some(JsonValue::Obj(args)) => args,
+                        None => Vec::new(),
+                        Some(_) => return Err(format!("trace event {i}: args is not an object")),
+                    };
+                    // `to_chrome_trace` writes counters with a `delta`
+                    // and gauges with only an absolute `value`.
+                    match (get(&args, "delta"), get(&args, "value")) {
+                        (Some(JsonValue::Num(d)), _) if d.is_finite() && d >= 0.0 => {
+                            (TraceEventKind::Counter, d as u64)
+                        }
+                        (Some(_), _) => {
+                            return Err(format!("trace event {i}: non-numeric counter delta"));
+                        }
+                        (None, Some(JsonValue::Num(v))) if v.is_finite() && v >= 0.0 => {
+                            (TraceEventKind::Gauge, v as u64)
+                        }
+                        (None, Some(_)) => {
+                            return Err(format!("trace event {i}: non-numeric counter value"));
+                        }
+                        (None, None) => (TraceEventKind::Counter, 0),
+                    }
+                }
+                other => return Err(format!("trace event {i}: unknown ph \"{other}\"")),
+            };
+            events.push(TraceEvent {
+                kind,
+                name: Arc::from(name.as_str()),
+                tid,
+                ts_ns,
+                delta,
+            });
+        }
+        // Stable: each thread's events keep their (checked) file order.
+        events.sort_by_key(|e| e.tid);
+        thread_names.sort_by_key(|(tid, _)| *tid);
+        thread_names.dedup_by_key(|(tid, _)| *tid);
+        Ok(TraceSnapshot {
+            events,
+            dropped,
+            thread_names,
+        })
+    }
+
     /// Renders folded-stack text (`a;b;c <µs>` per line, sorted), the
     /// input format of Brendan Gregg's `flamegraph.pl` and compatible
     /// viewers. Values are *exclusive* microseconds: each stack is

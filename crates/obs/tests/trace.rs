@@ -224,3 +224,58 @@ fn disabled_tracing_emits_nothing() {
     }
     assert!(tc_obs::trace_snapshot().events.is_empty());
 }
+
+#[test]
+fn chrome_trace_reads_back_into_the_snapshot_it_came_from() {
+    use std::sync::Arc;
+    use tc_obs::{TraceEvent, TraceSnapshot};
+    use TraceEventKind::{Begin, Counter, End, Gauge};
+    let ev = |kind, name: &str, tid, ts_ns, delta| TraceEvent {
+        kind,
+        name: Arc::from(name),
+        tid,
+        ts_ns,
+        delta,
+    };
+    let snap = TraceSnapshot {
+        events: vec![
+            ev(Begin, "outer", 0, 1_000, 0),
+            ev(Counter, "work", 0, 1_500, 3),
+            ev(Gauge, "mem.live_bytes", 0, 1_600, 4096),
+            ev(End, "outer", 0, 2_000, 0),
+            ev(Begin, "task", 1, 1_200, 0),
+            ev(End, "task", 1, 1_800, 0),
+        ],
+        dropped: 2,
+        thread_names: vec![(0, "main".to_string()), (1, "tc-par-0".to_string())],
+    };
+    let back = TraceSnapshot::from_chrome_trace(&snap.to_chrome_trace()).expect("roundtrip");
+    let fields = |s: &TraceSnapshot| -> Vec<_> {
+        s.events
+            .iter()
+            .map(|e| (e.kind, e.name.to_string(), e.tid, e.ts_ns, e.delta))
+            .collect()
+    };
+    assert_eq!(fields(&back), fields(&snap));
+    assert_eq!(back.dropped, snap.dropped);
+    assert_eq!(back.thread_names, snap.thread_names);
+
+    // A bare `C` event (no args) reads as a zero counter delta.
+    let bare = r#"{"traceEvents":[{"name":"heap","ph":"C","ts":7.0,"tid":2}]}"#;
+    let bare = TraceSnapshot::from_chrome_trace(bare).expect("bare counter accepted");
+    assert_eq!(bare.events[0].kind, Counter);
+    assert_eq!(bare.events[0].delta, 0);
+
+    // Threads interleave freely, but one thread's clock never runs
+    // backwards: that is a positioned error, not a silent re-sort.
+    let backwards = r#"{"traceEvents":[
+        {"name":"a","ph":"B","ts":5.0,"tid":0},
+        {"name":"b","ph":"B","ts":1.0,"tid":1},
+        {"name":"a","ph":"E","ts":1.0,"tid":0}
+    ]}"#;
+    let err = TraceSnapshot::from_chrome_trace(backwards).expect_err("regression rejected");
+    assert!(
+        err.contains("trace event 2") && err.contains("tid 0"),
+        "{err}"
+    );
+}

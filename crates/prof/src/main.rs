@@ -14,7 +14,7 @@
 
 use std::process::ExitCode;
 
-use tc_prof::profile::fold_chrome_trace;
+use tc_obs::TraceSnapshot;
 use tc_prof::{diff, DiffOptions, Profile, PROF_KIND};
 
 fn usage() -> &'static str {
@@ -190,9 +190,9 @@ fn cmd_fold(args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&e),
     };
-    match fold_chrome_trace(&text) {
-        Ok(folded) => {
-            print!("{folded}");
+    match TraceSnapshot::from_chrome_trace(&text) {
+        Ok(snap) => {
+            print!("{}", snap.to_folded());
             ExitCode::SUCCESS
         }
         Err(e) => fail(&format!("{path}: {e}")),

@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tc_obs::trace::{TraceEvent, TraceEventKind};
-use tc_obs::{JsonValue, TraceSnapshot};
+use tc_obs::trace::TraceEventKind;
+use tc_obs::TraceSnapshot;
 
 /// The gauge name the span layer samples at span edges when memory
 /// telemetry is armed; consecutive samples bracket a span occurrence
@@ -374,7 +374,7 @@ impl Profile {
     /// Positioned messages (`trace event N: …`) for malformed events,
     /// document-level messages for a missing/foreign envelope.
     pub fn from_chrome_trace(text: &str) -> Result<Profile, String> {
-        Ok(Profile::from_trace(&chrome_to_snapshot(text)?))
+        TraceSnapshot::from_chrome_trace(text).map(|snap| Profile::from_trace(&snap))
     }
 
     /// Sets the workload label (builder style).
@@ -407,121 +407,4 @@ impl Profile {
     pub fn span(&self, name: &str) -> Option<&SpanProfile> {
         self.spans.iter().find(|s| s.name == name)
     }
-}
-
-/// Parses a Chrome `trace_event` JSON document back into a
-/// [`TraceSnapshot`] — the inverse of
-/// [`TraceSnapshot::to_chrome_trace`]. `M`/`thread_name` metadata
-/// repopulates `thread_names`, `otherData.dropped_events` repopulates
-/// `dropped`, and counter events recover their per-event `delta` from
-/// `args` (falling back to `value` for gauges).
-///
-/// # Errors
-///
-/// Positioned `trace event N: …` messages for malformed events.
-pub fn chrome_to_snapshot(text: &str) -> Result<TraceSnapshot, String> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("trace parse error: {e}"))?;
-    let JsonValue::Obj(top) = doc else {
-        return Err("trace document is not an object".to_string());
-    };
-    let get = |pairs: &[(String, JsonValue)], key: &str| -> Option<JsonValue> {
-        pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    };
-    let Some(JsonValue::Arr(raw_events)) = get(&top, "traceEvents") else {
-        return Err("trace document has no traceEvents array".to_string());
-    };
-    let mut dropped = 0u64;
-    if let Some(JsonValue::Obj(other)) = get(&top, "otherData") {
-        if let Some(JsonValue::Num(d)) = get(&other, "dropped_events") {
-            if d.is_finite() && d >= 0.0 {
-                dropped = d as u64;
-            }
-        }
-    }
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut thread_names: Vec<(u64, String)> = Vec::new();
-    for (i, ev) in raw_events.iter().enumerate() {
-        let JsonValue::Obj(fields) = ev else {
-            return Err(format!("trace event {i}: not an object"));
-        };
-        let Some(JsonValue::Str(ph)) = get(fields, "ph") else {
-            return Err(format!("trace event {i}: missing ph"));
-        };
-        let Some(JsonValue::Str(name)) = get(fields, "name") else {
-            return Err(format!("trace event {i}: missing name"));
-        };
-        let tid = match get(fields, "tid") {
-            Some(JsonValue::Num(t)) if t.is_finite() && t >= 0.0 => t as u64,
-            _ => return Err(format!("trace event {i}: missing or negative tid")),
-        };
-        if ph == "M" {
-            if name == "thread_name" {
-                if let Some(JsonValue::Obj(args)) = get(fields, "args") {
-                    if let Some(JsonValue::Str(tname)) = get(&args, "name") {
-                        thread_names.push((tid, tname));
-                    }
-                }
-            }
-            continue;
-        }
-        let ts_us = match get(fields, "ts") {
-            Some(JsonValue::Num(t)) if t.is_finite() && t >= 0.0 => t,
-            _ => return Err(format!("trace event {i}: missing or negative ts")),
-        };
-        let ts_ns = (ts_us * 1e3).round() as u64;
-        let (kind, delta) = match ph.as_str() {
-            "B" => (TraceEventKind::Begin, 0),
-            "E" => (TraceEventKind::End, 0),
-            "C" => {
-                let Some(JsonValue::Obj(args)) = get(fields, "args") else {
-                    return Err(format!("trace event {i}: counter without args"));
-                };
-                // `to_chrome_trace` writes counters with a `delta` and
-                // gauges with only an absolute `value`.
-                match get(&args, "delta") {
-                    Some(JsonValue::Num(d)) if d.is_finite() && d >= 0.0 => {
-                        (TraceEventKind::Counter, d as u64)
-                    }
-                    Some(_) => {
-                        return Err(format!("trace event {i}: non-numeric counter delta"));
-                    }
-                    None => match get(&args, "value") {
-                        Some(JsonValue::Num(v)) if v.is_finite() && v >= 0.0 => {
-                            (TraceEventKind::Gauge, v as u64)
-                        }
-                        _ => {
-                            return Err(format!("trace event {i}: counter without value"));
-                        }
-                    },
-                }
-            }
-            other => return Err(format!("trace event {i}: unknown ph \"{other}\"")),
-        };
-        events.push(TraceEvent {
-            kind,
-            name: Arc::from(name.as_str()),
-            tid,
-            ts_ns,
-            delta,
-        });
-    }
-    events.sort_by_key(|e| (e.tid, e.ts_ns));
-    thread_names.sort_by_key(|(tid, _)| *tid);
-    thread_names.dedup_by_key(|(tid, _)| *tid);
-    Ok(TraceSnapshot {
-        events,
-        dropped,
-        thread_names,
-    })
-}
-
-/// Re-folds a Chrome trace sidecar to folded-stack text (the
-/// `flamegraph.pl` input format), via [`chrome_to_snapshot`] and
-/// [`TraceSnapshot::to_folded`].
-///
-/// # Errors
-///
-/// Same surface as [`chrome_to_snapshot`].
-pub fn fold_chrome_trace(text: &str) -> Result<String, String> {
-    Ok(chrome_to_snapshot(text)?.to_folded())
 }

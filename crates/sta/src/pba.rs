@@ -16,7 +16,7 @@ use crate::analysis::Sta;
 use crate::report::{Endpoint, EndpointTiming};
 
 /// One extracted path stage (endpoint side first).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PathStage {
     /// The driving cell of this stage.
     pub cell: CellId,
@@ -84,7 +84,7 @@ pub fn pba_worst_endpoints(sta: &Sta<'_>, k: usize) -> Result<Vec<PbaEndpoint>> 
 /// A worst path to an endpoint: the stage list (endpoint-first) plus the
 /// nets the path traverses — the raw material of the closure fix engine
 /// (which cell to swap/upsize, which net to buffer or NDR).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CriticalPath {
     /// The endpoint this path feeds.
     pub endpoint: Endpoint,

@@ -34,10 +34,12 @@
 //! the table, never gating.
 //!
 //! [`check_trace`] additionally validates a Chrome `trace_event`
-//! export: well-formed JSON, per-thread monotonic timestamps, balanced
-//! B/E events, and a minimum thread count.
+//! export, read by tc-obs's one reader of that format: well-formed
+//! events, per-thread monotonic timestamps, balanced B/E events, no
+//! ring-overflow drops, and a minimum thread count.
 
-use tc_obs::JsonValue;
+use tc_obs::trace::TraceEventKind;
+use tc_obs::{JsonValue, TraceSnapshot};
 
 /// How a flattened field participates in the comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -442,7 +444,8 @@ fn compare(path: &str, class: FieldClass, va: &Flat, vb: &Flat, opts: &DiffOptio
 /// Summary statistics of a validated Chrome trace.
 #[derive(Clone, Debug)]
 pub struct TraceCheck {
-    /// Total events.
+    /// Total events, `M` metadata records (one per named thread)
+    /// included.
     pub events: usize,
     /// Distinct thread ids.
     pub threads: usize,
@@ -452,125 +455,63 @@ pub struct TraceCheck {
     pub dropped: u64,
 }
 
-/// Validates a Chrome `trace_event` JSON document: parseable, every
-/// event carries `ph`/`ts`/`tid`, per-thread timestamps are monotonic
-/// (non-decreasing), and B/E events balance per thread. `M` metadata
-/// records (`thread_name`) are accepted anywhere and affect neither
-/// depth nor the timestamp order of their lane. Ring-overflow traces
-/// (`dropped_events > 0`) are a **hard finding**: drops orphan events
-/// and silently truncate any profile derived from the trace, so a
-/// gating check must fail them, not forgive the imbalance they cause.
+/// Validates a Chrome `trace_event` JSON document. The document is read
+/// by [`TraceSnapshot::from_chrome_trace`], which already rejects
+/// malformed events and per-thread timestamp regressions with a
+/// positioned error; the parsed snapshot must then balance its B/E
+/// events per thread and span at least `min_threads` threads. `M`
+/// metadata records (`thread_name`) are accepted anywhere and affect
+/// neither depth nor the timestamp order of their lane. Ring-overflow
+/// traces (`dropped_events > 0`) are a **hard finding**: drops orphan
+/// events and silently truncate any profile derived from the trace, so
+/// a gating check must fail them, not forgive the imbalance they cause.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation.
 pub fn check_trace(text: &str, min_threads: usize) -> Result<TraceCheck, String> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let JsonValue::Obj(pairs) = &doc else {
-        return Err("trace document is not an object".to_string());
-    };
-    let events = pairs
-        .iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("traceEvents", JsonValue::Arr(items)) => Some(items),
-            _ => None,
-        })
-        .ok_or("no traceEvents array")?;
-    let dropped = pairs
-        .iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("otherData", JsonValue::Obj(inner)) => {
-                inner.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                    ("dropped_events", JsonValue::Num(x)) => Some(*x as u64),
-                    _ => None,
-                })
-            }
-            _ => None,
-        })
-        .unwrap_or(0);
-    if dropped > 0 {
+    let snap = TraceSnapshot::from_chrome_trace(text)?;
+    if snap.dropped > 0 {
         return Err(format!(
-            "trace records {dropped} dropped event(s) — ring overflow truncates span \
-             accounting; re-record with a larger enable_trace capacity"
+            "trace records {} dropped event(s) — ring overflow truncates span \
+             accounting; re-record with a larger enable_trace capacity",
+            snap.dropped
         ));
     }
-    let field = |ev: &JsonValue, name: &str| -> Option<JsonValue> {
-        match ev {
-            JsonValue::Obj(pairs) => pairs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone()),
-            _ => None,
-        }
-    };
-    let mut last_ts: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-    let mut depth: std::collections::BTreeMap<u64, i64> = std::collections::BTreeMap::new();
     let mut max_depth = 0usize;
-    for (i, ev) in events.iter().enumerate() {
-        let ph = match field(ev, "ph") {
-            Some(JsonValue::Str(s)) => s,
-            _ => return Err(format!("event {i}: missing ph")),
-        };
-        if ph == "M" {
-            // Metadata records name threads/processes; they carry ts 0
-            // regardless of position, so they stay out of the
-            // monotonicity and balance bookkeeping.
-            if field(ev, "name").is_none() {
-                return Err(format!("event {i}: metadata record missing name"));
-            }
-            continue;
-        }
-        let ts = match field(ev, "ts") {
-            Some(JsonValue::Num(x)) if x.is_finite() && x >= 0.0 => x,
-            _ => return Err(format!("event {i}: missing/invalid ts")),
-        };
-        let tid = match field(ev, "tid") {
-            Some(JsonValue::Num(x)) if x >= 0.0 => x as u64,
-            _ => return Err(format!("event {i}: missing/invalid tid")),
-        };
-        if field(ev, "name").is_none() {
-            return Err(format!("event {i}: missing name"));
-        }
-        if let Some(&prev) = last_ts.get(&tid) {
-            if ts < prev {
-                return Err(format!(
-                    "event {i}: timestamp {ts} regresses below {prev} on tid {tid}"
-                ));
-            }
-        }
-        last_ts.insert(tid, ts);
-        let d = depth.entry(tid).or_insert(0);
-        match ph.as_str() {
-            "B" => {
-                *d += 1;
-                max_depth = max_depth.max(*d as usize);
-            }
-            "E" => {
-                *d -= 1;
-                if *d < 0 {
-                    return Err(format!("event {i}: unmatched E on tid {tid}"));
+    // The snapshot holds each thread's events contiguously, in order.
+    for lane in snap.events.chunk_by(|a, b| a.tid == b.tid) {
+        let tid = lane[0].tid;
+        let mut depth = 0usize;
+        for e in lane {
+            match e.kind {
+                TraceEventKind::Begin => {
+                    depth += 1;
+                    max_depth = max_depth.max(depth);
                 }
+                TraceEventKind::End => {
+                    depth = depth
+                        .checked_sub(1)
+                        .ok_or_else(|| format!("tid {tid}: unmatched E `{}`", e.name))?;
+                }
+                TraceEventKind::Counter | TraceEventKind::Gauge => {}
             }
-            "C" => {}
-            other => return Err(format!("event {i}: unexpected ph `{other}`")),
+        }
+        if depth != 0 {
+            return Err(format!("tid {tid}: {depth} unbalanced B event(s)"));
         }
     }
-    for (tid, d) in &depth {
-        if *d != 0 {
-            return Err(format!("tid {tid}: {d} unbalanced B event(s)"));
-        }
-    }
-    let threads = last_ts.len();
+    let threads = snap.thread_ids().len();
     if threads < min_threads {
         return Err(format!(
             "trace has {threads} thread(s), expected >= {min_threads}"
         ));
     }
     Ok(TraceCheck {
-        events: events.len(),
+        events: snap.events.len() + snap.thread_names.len(),
         threads,
         max_depth,
-        dropped,
+        dropped: snap.dropped,
     })
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The contract of `tc_sta::Timer` is *bit-identity*: after any journaled
 //! ECO sequence, `Timer::update` must leave the cached net states, wire
-//! timings, and endpoint reports exactly equal — every `f64` bit — to a
-//! from-scratch `Sta` run on the edited netlist. This test drives that
+//! timings, endpoint reports and worst paths exactly equal — every `f64`
+//! bit — to a from-scratch `Sta` run on the edited netlist. This test drives that
 //! contract with seeded random edit sequences (master swaps up/down the
 //! size and Vt ladders, wirelength and route-class changes, buffer
 //! insertions, pin rewires) on three benchmark profiles, interleaving
@@ -34,6 +34,12 @@ fn assert_matches_full(timer: &Timer<'_>, nl: &Netlist, lib: &Library, stack: &B
     assert_eq!(incr.endpoints, fresh.endpoints, "endpoint reports diverged");
     assert_eq!(incr.wns(), fresh.wns());
     assert_eq!(incr.tns(), fresh.tns());
+    // The closure fix planners read the timer's path list.
+    assert_eq!(
+        timer.worst_paths(nl, 25).unwrap(),
+        timing_closure::sta::worst_paths(&sta, 25).unwrap(),
+        "worst paths diverged from full STA"
+    );
 }
 
 /// Nets that can always absorb a rewired sink without creating a
